@@ -160,6 +160,37 @@ fn factoring_demo_runs_at_32_ways_on_sparse_re() {
     );
 }
 
+/// Compression pin for the packed encoder: the compiled factoring
+/// programs at 32 ways on sparse-re must not pack into more command words
+/// than the greedy repeat finder reached when this pin was set (282 words
+/// for n = 15, 7,105 for n = 221), and neither may materialize. A weaker
+/// match search shows up here before it shows up as memory.
+#[test]
+fn factoring_at_32_ways_keeps_its_packed_word_counts() {
+    use tangled_qat::bench::{assemble, factor15_asm, factor221_asm};
+    for (n, asm, max_words, factors) in [
+        (15, factor15_asm(), 282, [3, 5]),
+        (221, factor221_asm(), 7_105, [13, 17]),
+    ] {
+        let mc = MachineConfig {
+            qat: QatConfig::with_backend(StorageBackend::SparseRe, 32),
+            max_steps: 50_000_000,
+        };
+        let mut m = Machine::with_image(mc, &assemble(&asm));
+        m.run().expect("factoring halts at 32 ways");
+        let mut got = [m.regs[0], m.regs[1]];
+        got.sort_unstable();
+        assert_eq!(got, factors, "factoring {n} at 32 ways");
+        assert_eq!(m.qat.materializations(), 0, "factoring {n} materialized a register");
+        let stats = m.qat.packed_stats().expect("sparse-re reports packed stats");
+        assert!(
+            stats.packed_words <= max_words,
+            "factoring {n} at 32 ways packs into {} words, above the pinned {max_words}",
+            stats.packed_words
+        );
+    }
+}
+
 /// Packed-vs-eager equivalence pin at hardware degrees: a deterministic
 /// gate mix over the whole Table 3 set — including the aliased `cswap`
 /// corners — leaves bit-identical registers in the packed sparse-re file
